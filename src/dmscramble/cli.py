@@ -4,17 +4,10 @@ model selection and config validation."""
 import argparse
 import os
 import sys
+from functools import partial
 
-from .experiment import (
-    DEFAULT_D_VALUES,
-    DEFAULT_T_VALUES,
-    DEFAULT_THRESHOLD,
-    SweepSpec,
-    model_selection_report,
-    render_svg,
-    run_sweep,
-    write_csv,
-)
+from .experiment import (DEFAULT_D_VALUES, DEFAULT_T_VALUES, DEFAULT_THRESHOLD, SweepSpec,
+                         model_selection_report, render_svg, run_sweep, write_csv)
 from .hamiltonian import EVOLUTION_MODELS, ChainConfig
 from .otoc import TimeGrid
 
@@ -26,240 +19,118 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _read_config_file(path):
-    """Flat key=value file mirroring flag names (dashes or underscores)."""
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}")
-    return values
+# Every flag once: (dest, type, default, help); the flag is --dest with
+# dashes. A tuple type lists the choices of a string flag. A flag only some
+# subcommands take gives its help as {subcommand: help}. The dests other
+# than config are the config-file keys, and the type converts their values.
+_FLAGS = (
+    ("n", int, 6, "chain length in spins (default 6)"),
+    ("j_ising", float, -1.0, "Ising coupling J, energy units (default -1)"),
+    ("hx", float, 1.05, "transverse field amplitude, energy units (default 1.05)"),
+    ("hz_amp", float, 0.375, "staggered longitudinal field amplitude (default 0.375)"),
+    ("jx", float, 1.0, "in-plane Heisenberg coupling J_x = J_y (default 1)"),
+    ("jz", float, -1.0, "z Heisenberg coupling, must be negative (default -1)"),
+    ("d", float, 0.0, "DM interaction strength along z (default 0)"),
+    ("temperature", float, 0.05, "temperature, energy units with k_B=1 (default 0.05)"),
+    ("evolution_model", EVOLUTION_MODELS, "sum",
+     "Hamiltonian generating U(t) (default sum)"),
+    ("t_start", float, 0.0, "first grid time (default 0)"),
+    ("t_max", float, 10.0, "last grid time (default 10)"),
+    ("steps", int, 201, "number of grid points (default 201)"),
+    ("threshold", float, DEFAULT_THRESHOLD,
+     "F threshold defining the scrambling time (default 0.9)"),
+    ("out", str, ".", "output directory for CSV/SVG (default current dir)"),
+    ("jobs", int, None, "parallel sweep workers (default: available cores)"),
+    ("config", str, None, "key=value config file; explicit flags override it"),
+    ("d_values", _float_list, DEFAULT_D_VALUES, {
+        "sweep-d": "comma-separated DM strengths (default 0,0.25,0.5,0.75,1)",
+        "model-select": "DM strengths for the D-trend probe",
+    }),
+    ("temperatures", _float_list, DEFAULT_T_VALUES, {
+        "sweep-t": "comma-separated temperatures (default 0.05,0.5,1,2)",
+        "model-select": "temperatures for the T-trend probe",
+    }),
+)
+
+_CONFIG_KEYS = {dest: str if isinstance(kind, tuple) else kind
+                for dest, kind, _, _ in _FLAGS if dest != "config"}
 
 
-_CONFIG_FLAG_PARSERS = {
-    "n": int,
-    "j_ising": float,
-    "hx": float,
-    "hz_amp": float,
-    "jx": float,
-    "jz": float,
-    "d": float,
-    "temperature": float,
-    "evolution_model": str,
-    "d_values": _float_list,
-    "temperatures": _float_list,
-    "t_start": float,
-    "t_max": float,
-    "steps": int,
-    "threshold": float,
-    "jobs": int,
-    "out": str,
-}
-
-
-def _add_physics_flags(p):
-    p.add_argument("--n", type=int, default=6, help="chain length in spins (default 6)")
-    p.add_argument("--j-ising", type=float, default=-1.0, dest="j_ising",
-                   help="Ising coupling J, energy units (default -1)")
-    p.add_argument("--hx", type=float, default=1.05,
-                   help="transverse field amplitude, energy units (default 1.05)")
-    p.add_argument("--hz-amp", type=float, default=0.375, dest="hz_amp",
-                   help="staggered longitudinal field amplitude (default 0.375)")
-    p.add_argument("--jx", type=float, default=1.0,
-                   help="in-plane Heisenberg coupling J_x = J_y (default 1)")
-    p.add_argument("--jz", type=float, default=-1.0,
-                   help="z Heisenberg coupling, must be negative (default -1)")
-    p.add_argument("--d", type=float, default=0.0,
-                   help="DM interaction strength along z (default 0)")
-    p.add_argument("--temperature", type=float, default=0.05,
-                   help="temperature, energy units with k_B=1 (default 0.05)")
-    p.add_argument("--evolution-model", choices=EVOLUTION_MODELS, default="sum",
-                   dest="evolution_model",
-                   help="Hamiltonian generating U(t) (default sum)")
-
-
-def _add_grid_flags(p):
-    p.add_argument("--t-start", type=float, default=0.0, dest="t_start",
-                   help="first grid time (default 0)")
-    p.add_argument("--t-max", type=float, default=10.0, dest="t_max",
-                   help="last grid time (default 10)")
-    p.add_argument("--steps", type=int, default=201,
-                   help="number of grid points (default 201)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="F threshold defining the scrambling time (default 0.9)")
-
-
-def _add_common_flags(p):
-    p.add_argument("--out", default=".",
-                   help="output directory for CSV/SVG (default current dir)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel sweep workers (default: available cores)")
-    p.add_argument("--config", default=None,
-                   help="key=value config file; explicit flags override it")
-
-
-def build_parser():
+def _parser(with_defaults):
     parser = argparse.ArgumentParser(
         prog="dmscramble",
         description="OTOC scrambling on thermal spin chains with DM interaction",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("curve", help="single F(t) curve for one configuration")
-    _add_physics_flags(p)
-    _add_grid_flags(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("sweep-d", help="sweep DM strength at fixed temperature")
-    _add_physics_flags(p)
-    _add_grid_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--d-values", type=_float_list, dest="d_values",
-                   default=DEFAULT_D_VALUES,
-                   help="comma-separated DM strengths (default 0,0.25,0.5,0.75,1)")
-
-    p = sub.add_parser("sweep-t", help="sweep temperature at fixed DM strength")
-    _add_physics_flags(p)
-    _add_grid_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--temperatures", type=_float_list,
-                   default=DEFAULT_T_VALUES,
-                   help="comma-separated temperatures (default 0.05,0.5,1,2)")
-
-    p = sub.add_parser("model-select",
-                       help="probe each evolution model against both sweep trends")
-    _add_physics_flags(p)
-    _add_grid_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--d-values", type=_float_list, dest="d_values",
-                   default=DEFAULT_D_VALUES,
-                   help="DM strengths for the D-trend probe")
-    p.add_argument("--temperatures", type=_float_list,
-                   default=DEFAULT_T_VALUES,
-                   help="temperatures for the T-trend probe")
-
-    p = sub.add_parser("validate-config",
-                       help="check a parameter set and print the resolved values")
-    _add_physics_flags(p)
-    _add_grid_flags(p)
-    _add_common_flags(p)
-
+    for name, (subcommand_help, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=subcommand_help)
+        for dest, kind, default, flag_help in _FLAGS:
+            if isinstance(flag_help, dict):
+                if name not in flag_help:
+                    continue
+                flag_help = flag_help[name]
+            parse_as = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=flag_help,
+                           default=default if with_defaults else argparse.SUPPRESS,
+                           **parse_as)
     return parser
 
 
-def _apply_config_file(args, argv):
-    if getattr(args, "config", None) is None:
-        return args
-    file_values = _read_config_file(args.config)
-    explicit = _explicit_flags(argv)
-    for key, raw in file_values.items():
-        if key not in _CONFIG_FLAG_PARSERS:
+def build_parser():
+    return _parser(with_defaults=True)
+
+
+def _apply_config_file(args, explicit):
+    """Fill each key of the flat key=value --config file (flag names, dashes
+    or underscores) that this subcommand takes and ``explicit`` lacks."""
+    values = {}
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                values[key.strip().replace("-", "_")] = value.strip()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {args.config}: {exc}")
+    for key, raw in values.items():
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} in {args.config}")
-        dest = key
-        if not hasattr(args, dest):
-            continue  # key not applicable to this subcommand
-        if dest in explicit:
-            continue  # explicit flag wins
+        if not hasattr(args, key) or key in explicit:
+            continue
         try:
-            setattr(args, dest, _CONFIG_FLAG_PARSERS[key](raw))
+            setattr(args, key, _CONFIG_KEYS[key](raw))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"bad value for {key} in {args.config}: {exc}")
-    return args
-
-
-def _explicit_flags(argv):
-    """Flag dests the user passed explicitly on the command line."""
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return explicit
 
 
 def _chain_config(args):
-    return ChainConfig(
-        n=args.n,
-        j_ising=args.j_ising,
-        h_x=args.hx,
-        h_z_amp=args.hz_amp,
-        j_x=args.jx,
-        j_y=args.jx,
-        j_z=args.jz,
-        d_strength=args.d,
-        temperature=args.temperature,
-        evolution_model=args.evolution_model,
-    )
+    return ChainConfig(n=args.n, j_ising=args.j_ising, h_x=args.hx, h_z_amp=args.hz_amp,
+                       j_x=args.jx, j_y=args.jx, j_z=args.jz, d_strength=args.d,
+                       temperature=args.temperature, evolution_model=args.evolution_model)
 
 
 def _time_grid(args):
     return TimeGrid(t_start=args.t_start, t_end=args.t_max, steps=args.steps)
 
 
-def _emit(result, out_dir, stem):
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, stem + ".csv")
-    svg_path = os.path.join(out_dir, stem + ".svg")
+def _run_sweep(parameter, values_dest, stem, args):
+    cfg = _chain_config(args)
+    values = getattr(args, values_dest) if values_dest else (getattr(cfg, parameter),)
+    spec = SweepSpec(base=cfg, swept_parameter=parameter, values=values,
+                     grid=_time_grid(args), threshold=args.threshold)
+    result = run_sweep(spec, jobs=args.jobs)
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, stem + ".csv")
+    svg_path = os.path.join(args.out, stem + ".svg")
     write_csv(result, csv_path)
     render_svg(result, svg_path)
-    return csv_path, svg_path
-
-
-def _print_scrambling_times(result):
-    for value, t_star in zip(result.spec.values, result.scrambling_times):
+    for value, t_star in zip(spec.values, result.scrambling_times):
         shown = "never" if t_star is None else f"{t_star:.4f}"
-        print(f"  {result.spec.swept_parameter}={value:g}: t* = {shown}")
-
-
-def _run_curve(args):
-    cfg = _chain_config(args)
-    spec = SweepSpec(
-        base=cfg,
-        swept_parameter="d_strength",
-        values=(cfg.d_strength,),
-        grid=_time_grid(args),
-        threshold=args.threshold,
-    )
-    result = run_sweep(spec, jobs=args.jobs)
-    csv_path, svg_path = _emit(result, args.out, "curve")
-    _print_scrambling_times(result)
-    print(f"wrote {csv_path} and {svg_path}")
-    return 0
-
-
-def _run_sweep_d(args):
-    spec = SweepSpec(
-        base=_chain_config(args),
-        swept_parameter="d_strength",
-        values=args.d_values,
-        grid=_time_grid(args),
-        threshold=args.threshold,
-    )
-    result = run_sweep(spec, jobs=args.jobs)
-    csv_path, svg_path = _emit(result, args.out, "sweep_d")
-    _print_scrambling_times(result)
-    print(f"wrote {csv_path} and {svg_path}")
-    return 0
-
-
-def _run_sweep_t(args):
-    spec = SweepSpec(
-        base=_chain_config(args),
-        swept_parameter="temperature",
-        values=args.temperatures,
-        grid=_time_grid(args),
-        threshold=args.threshold,
-    )
-    result = run_sweep(spec, jobs=args.jobs)
-    csv_path, svg_path = _emit(result, args.out, "sweep_t")
-    _print_scrambling_times(result)
+        print(f"  {parameter}={value:g}: t* = {shown}")
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 
@@ -295,12 +166,20 @@ def _run_validate_config(args):
     return 0
 
 
-_DISPATCH = {
-    "curve": _run_curve,
-    "sweep-d": _run_sweep_d,
-    "sweep-t": _run_sweep_t,
-    "model-select": _run_model_select,
-    "validate-config": _run_validate_config,
+# name: (help, runner). A sweep runner is bound to the swept parameter, the
+# dest holding its values (a curve sweeps the single --d value) and the
+# output stem.
+_SUBCOMMANDS = {
+    "curve": ("single F(t) curve for one configuration",
+              partial(_run_sweep, "d_strength", None, "curve")),
+    "sweep-d": ("sweep DM strength at fixed temperature",
+                partial(_run_sweep, "d_strength", "d_values", "sweep_d")),
+    "sweep-t": ("sweep temperature at fixed DM strength",
+                partial(_run_sweep, "temperature", "temperatures", "sweep_t")),
+    "model-select": ("probe each evolution model against both sweep trends",
+                     _run_model_select),
+    "validate-config": ("check a parameter set and print the resolved values",
+                        _run_validate_config),
 }
 
 
@@ -310,8 +189,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
-        return _DISPATCH[args.subcommand](args)
+        if args.config is not None:
+            # A parse without defaults holds just the flags the command line
+            # set, matched as argparse matches them (--temp for --temperature).
+            _apply_config_file(args, vars(_parser(with_defaults=False).parse_args(argv)))
+        return _SUBCOMMANDS[args.subcommand][1](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -113,30 +113,30 @@ def _f_value(rho_i, v, w, h_decomp, t):
     return float(np.sqrt(f)), residue
 
 
-def otoc_f(cfg, t):
-    """F(t) for a single time point (builds everything from cfg)."""
-    value, _ = _otoc_point(cfg, t)
-    return value
-
-
-def _otoc_point(cfg, t):
+def _setup(cfg):
+    """Gibbs state, probes and evolution eigendecomposition, as _f_value
+    takes them."""
     rho_i = gibbs_state(build_dm(cfg), cfg.temperature)
     h_decomp = eigh(evolution_hamiltonian(cfg))
     v, w = butterfly_operators(cfg.n)
-    return _f_value(rho_i, v, w, h_decomp, t)
+    return rho_i, v, w, h_decomp
+
+
+def otoc_f(cfg, t):
+    """F(t) for a single time point (builds everything from cfg)."""
+    value, _ = _f_value(*_setup(cfg), t)
+    return value
 
 
 def otoc_series(cfg, grid=None):
     """F(t) over a time grid, reusing the state and eigendecomposition."""
     if grid is None:
         grid = TimeGrid()
-    rho_i = gibbs_state(build_dm(cfg), cfg.temperature)
-    h_decomp = eigh(evolution_hamiltonian(cfg))
-    v, w = butterfly_operators(cfg.n)
+    setup = _setup(cfg)
     values = np.empty(grid.steps)
     max_residue = 0.0
     for i, t in enumerate(grid.times):
-        values[i], residue = _f_value(rho_i, v, w, h_decomp, t)
+        values[i], residue = _f_value(*setup, t)
         max_residue = max(max_residue, residue)
     if abs(values[0] - 1.0) > 1e-9 and grid.t_start == 0.0:
         raise NumericalError(f"F(0)={values[0]} deviates from 1 beyond 1e-9")

@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from dmscramble.cli import main
+from dmscramble.cli import build_parser, main
 from dmscramble.experiment import read_csv
 
 
@@ -95,6 +97,15 @@ class TestConfigFile:
         assert code == 0
         assert "n = 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--temp", "2.0"], ["--temperature=2.0"]])
+    def test_abbreviated_or_joined_flag_overrides_file(self, flag, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("temperature=0.5\n")
+        code = run(["validate-config", "--config", str(cfg)] + flag)
+        assert code == 0
+        assert "temperature = 2.0" in capsys.readouterr().out
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobnicate=1\n")
@@ -115,6 +126,60 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "--n" in out
         assert "default" in out
+
+
+_ALL = ("curve", "sweep-d", "sweep-t", "model-select", "validate-config")
+_D_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
+_T_VALUES = (0.05, 0.5, 1.0, 2.0)
+
+# (option strings, dest, default, choices, help, subcommands), in --help order.
+_SURFACE = (
+    (["--n"], "n", 6, None, "chain length in spins (default 6)", _ALL),
+    (["--j-ising"], "j_ising", -1.0, None,
+     "Ising coupling J, energy units (default -1)", _ALL),
+    (["--hx"], "hx", 1.05, None,
+     "transverse field amplitude, energy units (default 1.05)", _ALL),
+    (["--hz-amp"], "hz_amp", 0.375, None,
+     "staggered longitudinal field amplitude (default 0.375)", _ALL),
+    (["--jx"], "jx", 1.0, None,
+     "in-plane Heisenberg coupling J_x = J_y (default 1)", _ALL),
+    (["--jz"], "jz", -1.0, None,
+     "z Heisenberg coupling, must be negative (default -1)", _ALL),
+    (["--d"], "d", 0.0, None, "DM interaction strength along z (default 0)", _ALL),
+    (["--temperature"], "temperature", 0.05, None,
+     "temperature, energy units with k_B=1 (default 0.05)", _ALL),
+    (["--evolution-model"], "evolution_model", "sum", ("ising", "dm", "sum"),
+     "Hamiltonian generating U(t) (default sum)", _ALL),
+    (["--t-start"], "t_start", 0.0, None, "first grid time (default 0)", _ALL),
+    (["--t-max"], "t_max", 10.0, None, "last grid time (default 10)", _ALL),
+    (["--steps"], "steps", 201, None, "number of grid points (default 201)", _ALL),
+    (["--threshold"], "threshold", 0.9, None,
+     "F threshold defining the scrambling time (default 0.9)", _ALL),
+    (["--out"], "out", ".", None,
+     "output directory for CSV/SVG (default current dir)", _ALL),
+    (["--jobs"], "jobs", None, None,
+     "parallel sweep workers (default: available cores)", _ALL),
+    (["--config"], "config", None, None,
+     "key=value config file; explicit flags override it", _ALL),
+    (["--d-values"], "d_values", _D_VALUES, None,
+     "comma-separated DM strengths (default 0,0.25,0.5,0.75,1)", ("sweep-d",)),
+    (["--temperatures"], "temperatures", _T_VALUES, None,
+     "comma-separated temperatures (default 0.05,0.5,1,2)", ("sweep-t",)),
+    (["--d-values"], "d_values", _D_VALUES, None,
+     "DM strengths for the D-trend probe", ("model-select",)),
+    (["--temperatures"], "temperatures", _T_VALUES, None,
+     "temperatures for the T-trend probe", ("model-select",)),
+)
+
+
+def test_cli_surface_is_unchanged():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(_ALL)
+    for sub, parser in subparsers.choices.items():
+        flags = [(a.option_strings, a.dest, a.default, a.choices, a.help)
+                 for a in parser._actions if a.dest != "help"]
+        assert flags == [row[:5] for row in _SURFACE if sub in row[5]], sub
 
 
 def test_failed_write_leaves_no_partial_files(tmp_path):
