@@ -1,6 +1,6 @@
 """Chain Hamiltonians: the Ising evolution model and the DM-Heisenberg chain."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class ChainConfig:
     evolution_model: str = "sum"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}={getattr(self, f.name)} must be finite")
         if not 2 <= self.n <= MAX_SITES:
             raise ValueError(f"n={self.n} outside [2, {MAX_SITES}]")
         if self.j_x != self.j_y:

