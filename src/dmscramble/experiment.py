@@ -6,7 +6,7 @@ import os
 import tempfile
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import __version__ as _version
@@ -118,27 +118,18 @@ def _atomic_write(path, text):
 def csv_text(result):
     """Serialize a SweepResult to the CSV wire format (with metadata block)."""
     spec = result.spec
-    cfg = spec.base
     lines = [
         f"# artifact_version={_version}",
         f"# fidelity_convention={FIDELITY_CONVENTION}",
         f"# swept_parameter={spec.swept_parameter}",
         f"# threshold={_fmt(spec.threshold)}",
-        f"# n={cfg.n}",
-        f"# j_ising={_fmt(cfg.j_ising)}",
-        f"# h_x={_fmt(cfg.h_x)}",
-        f"# h_z_amp={_fmt(cfg.h_z_amp)}",
-        f"# j_x={_fmt(cfg.j_x)}",
-        f"# j_y={_fmt(cfg.j_y)}",
-        f"# j_z={_fmt(cfg.j_z)}",
-        f"# d_strength={_fmt(cfg.d_strength)}",
-        f"# temperature={_fmt(cfg.temperature)}",
-        f"# evolution_model={cfg.evolution_model}",
-        f"# t_start={_fmt(spec.grid.t_start)}",
-        f"# t_end={_fmt(spec.grid.t_end)}",
-        f"# steps={spec.grid.steps}",
-        "swept_param,swept_value,t,F",
     ]
+    for record in (spec.base, spec.grid):
+        for field in fields(record):
+            value = getattr(record, field.name)
+            text = _fmt(value) if field.type is float else value
+            lines.append(f"# {field.name}={text}")
+    lines.append("swept_param,swept_value,t,F")
     for value, series in zip(spec.values, result.series):
         for t, f in zip(series.grid.times, series.values):
             lines.append(

@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .operators import MAX_SITES, site_operator, two_site_term
+from .operators import MAX_SITES, pauli_sum
 
 EVOLUTION_MODELS = ("ising", "dm", "sum")
 
@@ -33,8 +33,11 @@ class ChainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name}={getattr(self, f.name)} must be finite")
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ValueError(f"{f.name}={value} must be finite")
+            if f.type is int and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name}={value} must be an integer")
         if not 2 <= self.n <= MAX_SITES:
             raise ValueError(f"n={self.n} outside [2, {MAX_SITES}]")
         if self.j_x != self.j_y:
@@ -61,15 +64,11 @@ def build_ising(cfg):
     H = -sum_{r=1}^{n-1} J sz_r sz_{r+1} - sum_r h_x sx_r - sum_r h_z(r) sz_r
     with h_z(r) = h_z_amp * (-1)^r, r 1-based.
     """
-    n = cfg.n
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for r in range(1, n):
-        h -= cfg.j_ising * two_site_term("z", "z", r, n)
-    for r in range(1, n + 1):
-        h -= cfg.h_x * site_operator("x", r, n)
-        h -= cfg.h_z_amp * (-1.0) ** r * site_operator("z", r, n)
-    return h
+    terms = [(-cfg.j_ising, {r: "z", r + 1: "z"}) for r in range(1, cfg.n)]
+    for r in range(1, cfg.n + 1):
+        terms.append((-cfg.h_x, {r: "x"}))
+        terms.append((-cfg.h_z_amp * (-1.0) ** r, {r: "z"}))
+    return pauli_sum(terms, cfg.n)
 
 
 def build_dm(cfg):
@@ -78,18 +77,11 @@ def build_dm(cfg):
     H = sum_{k=1}^{n-1} (1/2)[J_x sx sx + J_y sy sy + J_z sz sz
                               + D (sx_k sy_{k+1} - sy_k sx_{k+1})]
     """
-    n = cfg.n
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, n):
-        h += 0.5 * (
-            cfg.j_x * two_site_term("x", "x", k, n)
-            + cfg.j_y * two_site_term("y", "y", k, n)
-            + cfg.j_z * two_site_term("z", "z", k, n)
-            + cfg.d_strength
-            * (two_site_term("x", "y", k, n) - two_site_term("y", "x", k, n))
-        )
-    return h
+    couplings = ((cfg.j_x, "x", "x"), (cfg.j_y, "y", "y"), (cfg.j_z, "z", "z"),
+                 (cfg.d_strength, "x", "y"), (-cfg.d_strength, "y", "x"))
+    terms = [(0.5 * coupling, {k: a, k + 1: b})
+             for k in range(1, cfg.n) for coupling, a, b in couplings]
+    return pauli_sum(terms, cfg.n)
 
 
 def evolution_hamiltonian(cfg):

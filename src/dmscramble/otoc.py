@@ -40,8 +40,11 @@ class TimeGrid:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name}={getattr(self, f.name)} must be finite")
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ValueError(f"{f.name}={value} must be finite")
+            if f.type is int and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name}={value} must be an integer")
         if self.t_start < 0:
             raise ValueError(f"t_start={self.t_start} must be >= 0")
         if self.t_end <= self.t_start:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dmscramble.operators import pauli
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,11 @@ def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron_product(factors, n):
+    """Reference Pauli product: the explicit Kronecker product over all sites."""
+    op = np.eye(1)
+    for r in range(1, n + 1):
+        op = np.kron(op, pauli(factors[r]) if r in factors else np.eye(2))
+    return op

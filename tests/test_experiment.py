@@ -103,6 +103,34 @@ class TestCsv:
         again = run_sweep(small_result.spec, jobs=1)
         assert csv_text(small_result) == csv_text(again)
 
+    def test_metadata_block(self):
+        cfg = ChainConfig(n=3, j_ising=-1.0731, h_x=0.9473, h_z_amp=0.3817,
+                          j_x=1.1237, j_y=1.1237, j_z=-0.8642, d_strength=0.7,
+                          temperature=0.123, evolution_model="dm")
+        spec = SweepSpec(base=cfg, swept_parameter="temperature", values=(0.123, 0.31),
+                         grid=TimeGrid(0.25, 3.1, 5), threshold=0.85)
+        lines = csv_text(run_sweep(spec, jobs=1)).splitlines()
+        assert [l for l in lines if l.startswith("#")] == [
+            "# artifact_version=0.1.0",
+            "# fidelity_convention=uhlmann-squared-jozsa",
+            "# swept_parameter=temperature",
+            "# threshold=0.84999999999999998",
+            "# n=3",
+            "# j_ising=-1.0730999999999999",
+            "# h_x=0.94730000000000003",
+            "# h_z_amp=0.38169999999999998",
+            "# j_x=1.1236999999999999",
+            "# j_y=1.1236999999999999",
+            "# j_z=-0.86419999999999997",
+            "# d_strength=0.69999999999999996",
+            "# temperature=0.123",
+            "# evolution_model=dm",
+            "# t_start=0.25",
+            "# t_end=3.1000000000000001",
+            "# steps=5",
+        ]
+        assert lines[17] == "swept_param,swept_value,t,F"
+
     def test_lf_line_endings(self, small_result, tmp_path):
         path = tmp_path / "sweep.csv"
         write_csv(small_result, path)

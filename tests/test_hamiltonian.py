@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import kron_product
 from dmscramble.hamiltonian import (
     ChainConfig,
     build_dm,
@@ -11,6 +12,28 @@ from dmscramble.hamiltonian import (
 
 def cfg2(**kwargs):
     return ChainConfig(n=2, **kwargs)
+
+
+def kron_ising(cfg):
+    n = cfg.n
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for r in range(1, n):
+        h -= cfg.j_ising * kron_product({r: "z", r + 1: "z"}, n)
+    for r in range(1, n + 1):
+        h -= cfg.h_x * kron_product({r: "x"}, n)
+        h -= cfg.h_z_amp * (-1.0) ** r * kron_product({r: "z"}, n)
+    return h
+
+
+def kron_dm(cfg):
+    n = cfg.n
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(1, n):
+        xx, yy, zz, xy, yx = (kron_product({k: a, k + 1: b}, n)
+                              for a, b in ("xx", "yy", "zz", "xy", "yx"))
+        h += 0.5 * (cfg.j_x * xx + cfg.j_y * yy + cfg.j_z * zz
+                    + cfg.d_strength * (xy - yx))
+    return h
 
 
 class TestChainConfig:
@@ -40,6 +63,7 @@ class TestChainConfig:
             {"j_ising": -np.inf},
             {"h_x": np.nan},
             {"h_z_amp": np.inf},
+            {"n": 6.0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -97,6 +121,15 @@ class TestDm:
         h1 = build_dm(ChainConfig(n=3, d_strength=1.0))
         h2 = build_dm(ChainConfig(n=3, d_strength=2.0))
         assert np.abs((h2 - h0) - 2.0 * (h1 - h0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_builders_match_kronecker_sums(n, d):
+    cfg = ChainConfig(n=n, j_ising=-1.0731, h_x=0.9473, h_z_amp=0.3817,
+                      j_x=1.1237, j_y=1.1237, j_z=-0.8642, d_strength=d)
+    np.testing.assert_array_equal(build_ising(cfg), kron_ising(cfg))
+    np.testing.assert_array_equal(build_dm(cfg), kron_dm(cfg))
 
 
 class TestEvolutionSelector:

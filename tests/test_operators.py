@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmscramble.operators import pauli, site_operator, two_site_term
+from conftest import kron_product
+from dmscramble.operators import pauli, pauli_sum, site_operator, two_site_term
 
 AXES = ("x", "y", "z")
 
@@ -42,6 +43,38 @@ def test_site_operator_traceless():
 def test_site_operator_range_errors(r, n):
     with pytest.raises(ValueError, match=str(r) if 1 <= n <= 12 else str(n)):
         site_operator("x", r, n)
+
+
+@pytest.mark.parametrize(
+    "factors,match",
+    [
+        ({1: "z", 2: "w"}, "axis"),
+        ({2: "x", 4: "y"}, "r=4"),
+        ({0: "z", 1: "z"}, "r=0"),
+    ],
+)
+def test_pauli_sum_rejects_bad_factor(factors, match):
+    with pytest.raises(ValueError, match=match):
+        pauli_sum([(1.0, {1: "x"}), (0.5, factors)], 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_site_operator_matches_kronecker_product(n):
+    for r in range(1, n + 1):
+        for axis in AXES:
+            np.testing.assert_array_equal(
+                site_operator(axis, r, n), kron_product({r: axis}, n)
+            )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_two_site_term_matches_kronecker_product(n):
+    for k in range(1, n):
+        for a in AXES:
+            for b in AXES:
+                np.testing.assert_array_equal(
+                    two_site_term(a, b, k, n), kron_product({k: a, k + 1: b}, n)
+                )
 
 
 @pytest.mark.parametrize("axis", AXES)

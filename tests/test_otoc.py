@@ -39,6 +39,7 @@ class TestTimeGrid:
             {"t_start": np.nan},
             {"t_end": np.nan},
             {"t_end": np.inf},
+            {"steps": 2.5},
         ],
     )
     def test_invalid(self, kwargs):
