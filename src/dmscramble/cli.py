@@ -117,11 +117,15 @@ def _time_grid(args):
     return TimeGrid(t_start=args.t_start, t_end=args.t_max, steps=args.steps)
 
 
-def _run_sweep(parameter, values_dest, stem, args):
+def _sweep_spec(args, parameter="d_strength", values_dest=None):
     cfg = _chain_config(args)
     values = getattr(args, values_dest) if values_dest else (getattr(cfg, parameter),)
-    spec = SweepSpec(base=cfg, swept_parameter=parameter, values=values,
+    return SweepSpec(base=cfg, swept_parameter=parameter, values=values,
                      grid=_time_grid(args), threshold=args.threshold)
+
+
+def _run_sweep(parameter, values_dest, stem, args):
+    spec = _sweep_spec(args, parameter, values_dest)
     result = run_sweep(spec, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, stem + ".csv")
@@ -155,14 +159,14 @@ def _run_model_select(args):
 
 
 def _run_validate_config(args):
-    cfg = _chain_config(args)
-    grid = _time_grid(args)
+    spec = _sweep_spec(args)  # the checks a curve runs on the same flags
+    grid = spec.grid
     print("configuration valid:")
     for name in ("n", "j_ising", "h_x", "h_z_amp", "j_x", "j_y", "j_z",
                  "d_strength", "temperature", "evolution_model"):
-        print(f"  {name} = {getattr(cfg, name)}")
+        print(f"  {name} = {getattr(spec.base, name)}")
     print(f"  grid = [{grid.t_start}, {grid.t_end}] x {grid.steps}")
-    print(f"  threshold = {args.threshold}")
+    print(f"  threshold = {spec.threshold}")
     return 0
 
 

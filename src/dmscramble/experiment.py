@@ -80,7 +80,9 @@ def run_sweep(spec, jobs=None):
     configs = spec.configs()
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(configs)))
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be >= 1")
+    jobs = min(jobs, len(configs))
     if jobs == 1:
         points = [_sweep_point(c, spec.grid, spec.threshold) for c in configs]
     else:

@@ -21,6 +21,8 @@ class EigenDecomposition(NamedTuple):
 
 
 def _check_hermitian(h, tol=HERMITICITY_TOL, name="matrix"):
+    if not np.isfinite(h).all():
+        raise ValueError(f"{name} has non-finite entries")
     dev = np.abs(h - h.conj().T).max()
     if dev > tol:
         raise ValueError(f"{name} not Hermitian: max |H - H^dag| = {dev:.3e}")

@@ -6,11 +6,15 @@ is conjugated in the two operator orderings, and the correlator is
 F(t) = sqrt(Re[fidelity(rho_a, rho_b)]).
 
 Fidelity is unitarily invariant and V, W_t are Hermitian unitaries, so F(t)
-is evaluated as ||sqrt(rho) (V W_t)^2 sqrt(rho)||_tr in the evolution
-eigenbasis; conjugated_pair with uhlmann_fidelity is the dense reference.
+equals ||sqrt(rho) C^2 sqrt(rho)||_tr with C = V W_t. With rho = Q P Q^dag
+and only the k Boltzmann weights above RANK_CUTOFF times the largest kept,
+B = Q_ev^dag Q_k sqrt(P_k) is d x k in the evolution eigenbasis and
+F(t) = ||(W_t V B)^dag (V W_t B)||_tr, a k x k trace norm per time point.
+conjugated_pair with uhlmann_fidelity is the dense reference.
 """
 
 from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -19,15 +23,22 @@ from .linalg import (
     FIDELITY_CONVENTION,
     NumericalError,
     eigh,
-    psd_sqrt,
     trace_norm_fidelity,
     uhlmann_fidelity,  # unused here; the benchmark's tracer test reads otoc.uhlmann_fidelity
     unitary_propagator,
 )
 from .operators import site_operator
-from .thermal import check_density_matrix, gibbs_state
+from .thermal import (
+    boltzmann_weights,
+    check_density_matrix,
+    gibbs_state,  # unused here; the benchmark's tracer test reads otoc.gibbs_state
+)
 
 UNITARITY_TOL = 1e-9
+# Boltzmann weights at or below this fraction of the largest are dropped. B
+# holds their square roots and F(t) moves only at second order in those, that
+# is by about the weight dropped.
+RANK_CUTOFF = 1e-16
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,8 @@ class OtocSeries:
     values: np.ndarray  # F(t) per grid point, in [0, 1]
     config: ChainConfig
     convention_tag: str = FIDELITY_CONVENTION
+    kept_rank: Optional[int] = None  # Boltzmann weights kept, of 2^n
+    discarded_weight: Optional[float] = None  # total weight dropped
 
     def __post_init__(self):
         if len(self.values) != self.grid.steps:
@@ -106,40 +119,59 @@ def conjugated_pair(rho_i, v, w_t):
 
 
 def _setup(cfg):
-    """sqrt(rho), V and W in the evolution eigenbasis, and its energies. Checked
-    once per series: rho by gibbs_state, V, W and the eigenbasis for unitarity."""
-    sqrt_rho = psd_sqrt(gibbs_state(build_dm(cfg), cfg.temperature))
+    """One eigh of each Hamiltonian. Returns the kernel arguments (B, V B, V, W,
+    evolution energies), all in the evolution eigenbasis, with the rank kept
+    and the weight discarded. Checked once per series: the weights (finite,
+    nonnegative), both eigenbases, V and W for unitarity."""
+    thermal_energies, q_th = eigh(build_dm(cfg))
+    _check_unitary(q_th, "thermal eigenbasis")
+    weights = boltzmann_weights(thermal_energies, cfg.temperature)
+    kept = weights > RANK_CUTOFF * weights.max()
+    root = q_th[:, kept] * np.sqrt(weights[kept])
+    del q_th  # freed before the evolution eigh, to keep peak memory down
     energies, q = eigh(evolution_hamiltonian(cfg))
+    q_dag = q.conj().T
+    b = q_dag @ root
+    del root
     v, w = butterfly_operators(cfg.n)
     for u, name in ((v, "V"), (w, "W"), (q, "evolution eigenbasis")):
         _check_unitary(u, name)
-    return *(q.conj().T @ m @ q for m in (sqrt_rho, v, w)), energies
+    # one operator at a time, each replacing its original, for peak memory
+    v = q_dag @ (v @ q)
+    w = q_dag @ (w @ q)
+    kernel_args = (b, v @ b, v, w, energies)
+    return kernel_args, int(kept.sum()), float(weights[~kept].sum())
 
 
-def _f_kernel(sqrt_rho, v, w, energies, t):
-    """F(t) = ||sqrt(rho) C^2 sqrt(rho)||_tr with C = V W_t, where W_t is
-    W times the phases exp(i (E_a - E_b) t), all in the evolution eigenbasis."""
+def _f_kernel(b, vb, v, w, energies, t):
+    """F(t) = ||(W_t V B)^dag (V W_t B)||_tr = ||B^dag C^2 B||_tr with
+    C = V W_t, where W_t x = phase * (W (phase^* * x)) and phase = exp(i E t)."""
     if not np.isfinite(t):
         raise ValueError(f"time t={t} must be finite")
-    phase = np.exp(1j * energies * t)
-    c = v @ (phase[:, None] * w * phase.conj())
-    return float(np.sqrt(trace_norm_fidelity(sqrt_rho @ c @ c @ sqrt_rho)))
+    phase = np.exp(1j * energies * t)[:, None]
+
+    def w_t(x):
+        return phase * (w @ (phase.conj() * x))
+
+    return float(np.sqrt(trace_norm_fidelity(w_t(vb).conj().T @ (v @ w_t(b)))))
 
 
 def otoc_f(cfg, t):
     """F(t) for a single time point (builds everything from cfg)."""
-    return _f_kernel(*_setup(cfg), t)
+    kernel_args, _, _ = _setup(cfg)
+    return _f_kernel(*kernel_args, t)
 
 
 def otoc_series(cfg, grid=None):
     """F(t) over a time grid, reusing the state and eigendecomposition."""
     if grid is None:
         grid = TimeGrid()
-    setup = _setup(cfg)
-    values = np.array([_f_kernel(*setup, t) for t in grid.times])
+    kernel_args, kept_rank, discarded_weight = _setup(cfg)
+    values = np.array([_f_kernel(*kernel_args, t) for t in grid.times])
     if abs(values[0] - 1.0) > 1e-9 and grid.t_start == 0.0:
         raise NumericalError(f"F(0)={values[0]} deviates from 1 beyond 1e-9")
-    return OtocSeries(grid=grid, values=values, config=cfg)
+    return OtocSeries(grid=grid, values=values, config=cfg, kept_rank=kept_rank,
+                      discarded_weight=discarded_weight)
 
 
 def scrambling_time(series, threshold=0.9):

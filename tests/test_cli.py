@@ -67,6 +67,19 @@ class TestValidation:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "0"])
+    def test_validate_config_checks_threshold(self, threshold, capsys):
+        assert run(["validate-config", "--threshold", threshold]) == 2
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_nonpositive_jobs_exits_2(self, jobs, tmp_path, capsys):
+        code = run(["curve", "--n", "2", "--steps", "3", "--jobs", jobs,
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert f"jobs={jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["curve", "--frobnicate", "1"])

@@ -45,6 +45,11 @@ class TestEigh:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigh(np.full((2, 2), bad))
+
 
 class TestPropagator:
     def test_t0_identity(self, rng):

@@ -1,6 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 
+import dmscramble.otoc
+import dmscramble.thermal
 from dmscramble.hamiltonian import (
     EVOLUTION_MODELS,
     ChainConfig,
@@ -202,6 +206,34 @@ def test_series_matches_dense_composition(n):
     for cfg in cases:
         deviation = np.abs(otoc_series(cfg, grid).values - _dense_series(cfg, grid))
         assert deviation.max() <= 1e-12, cfg
+
+
+def test_series_reports_kept_rank_and_discarded_weight():
+    grid = TimeGrid(t_end=1.0, steps=2)
+    cold = otoc_series(ChainConfig(n=8, temperature=0.05), grid)
+    assert cold.kept_rank < 256
+    assert cold.discarded_weight <= 1e-15
+    hot = otoc_series(ChainConfig(n=5, temperature=2.0), grid)
+    assert hot.kept_rank == 32
+    assert hot.discarded_weight == 0.0
+
+
+def test_series_diagonalizes_each_hamiltonian_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (dmscramble.otoc, dmscramble.thermal):
+        for name in ("eigh", "psd_sqrt", "check_density_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    otoc_series(ChainConfig(n=4, d_strength=1.0, temperature=0.5),
+                TimeGrid(t_end=2.0, steps=5))
+    assert calls == {"eigh": 2}
 
 
 class TestScramblingTime:

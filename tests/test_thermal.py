@@ -43,6 +43,19 @@ def test_rejects_non_hermitian():
         gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_rejects_non_finite_temperature():
+    with pytest.raises(ValueError, match="Boltzmann weights"):
+        gibbs_state(np.diag([0.0, 1.0]), float("nan"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_density_matrix_rejects_non_finite(bad):
+    rho = np.eye(2) / 2
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density_matrix(rho)
+
+
 def test_density_matrix_invariants():
     h = build_dm(ChainConfig(n=3, d_strength=0.8))
     for temperature in (0.05, 0.5, 5.0):
